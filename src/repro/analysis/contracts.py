@@ -151,9 +151,9 @@ MUTATOR_METHODS = frozenset({
     "remove", "clear", "add", "discard", "update", "setdefault",
     "sort", "reverse",
     # project structures
-    "insert_slice", "allocate", "release", "reset", "wakeup", "tick",
-    "note_dispatch", "try_claim", "access", "access_data", "access_inst",
-    "fill", "predict", "resolve", "can_forward", "flush_inflight",
+    "insert_slice", "allocate", "release", "reset", "tick",
+    "note_dispatch", "access", "access_data", "access_inst",
+    "fill", "predict", "resolve", "flush_inflight",
 })
 
 #: Instance-dict stage callable -> contract stage name, in ``step()``

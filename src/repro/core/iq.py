@@ -9,12 +9,15 @@ fails loudly instead of silently modelling impossible hardware.
 Wakeup is index based (producer tag → list of waiting instructions)
 instead of scanning every entry each cycle — the behavioural result is
 identical to a CAM broadcast, and it keeps the Python inner loop off the
-profile (DESIGN.md §6).
+profile (DESIGN.md §6). The core's writeback stage
+(``SMTProcessor._apply_events``) broadcasts wakeups through
+:attr:`IssueQueue.waiting`; its issue stage (``SMTProcessor._issue``)
+selects from :attr:`IssueQueue.ready_heap`.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heappush
 
 from repro.pipeline.dynamic import DynInstr
 
@@ -174,32 +177,12 @@ class IssueQueue:
                 heappush(heap, (instr.seq, instr))
         self.occupancy += count
 
-    def wakeup(self, tag: int) -> None:
-        """Broadcast the completion of physical register ``tag``."""
-        waiters = self.waiting.pop(tag, None)
-        if not waiters:
-            return
-        heap = self.ready_heap
-        for instr in waiters:
-            instr.num_waiting -= 1
-            if instr.num_waiting == 0 and instr.in_iq:
-                heappush(heap, (instr.seq, instr))
-
-    def remove_on_issue(self, instr: DynInstr) -> None:
-        """Free the entry of an instruction selected for issue."""
-        instr.in_iq = False
-        self.occupancy -= 1
-
-    def tick(self) -> None:
-        """Accumulate per-cycle occupancy statistics."""
-        self.occupancy_integral += self.occupancy
-
     def waiting_census(self) -> dict[int, int]:
         """``id(instr) -> live wakeup registrations`` over all tags.
 
         Used by the pipeline sanitizer to cross-check each entry's
-        ``num_waiting`` against the index actually consulted by
-        :meth:`wakeup`; a mismatch means a wakeup can be missed.
+        ``num_waiting`` against the index the core's writeback stage
+        consults on wakeup; a mismatch means a wakeup can be missed.
         """
         census: dict[int, int] = {}
         for waiters in self.waiting.values():
@@ -207,18 +190,6 @@ class IssueQueue:
                 key = id(instr)
                 census[key] = census.get(key, 0) + 1
         return census
-
-    # ------------------------------------------------------------------
-    def drain_ready(self) -> list[DynInstr]:
-        """Pop every currently-ready entry, oldest first (tests only)."""
-        out = []
-        while self.ready_heap:
-            _, instr = heappop(self.ready_heap)
-            if instr.in_iq:
-                out.append(instr)
-        for instr in out:
-            heappush(self.ready_heap, (instr.seq, instr))
-        return out
 
     def reset(self) -> None:
         """Empty the queue (watchdog pipeline flush)."""

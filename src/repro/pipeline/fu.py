@@ -5,15 +5,14 @@ multi-cycle-occupancy ops (divides, square roots) therefore block their
 unit for the ``issue interval`` of :data:`repro.isa.opcodes.FU_ASSIGNMENT`
 while pipelined ops accept one operation per cycle.
 
-``try_claim``/``available`` run once per selected instruction per cycle,
-so they use the flat :data:`repro.isa.opcodes.OP_FU`/``OP_INTERVAL``
-tables instead of the enum-keyed assignment dict.
+The issue stage (``SMTProcessor._issue``) claims units directly through
+the flat :data:`repro.isa.opcodes.OP_FU`/``OP_INTERVAL`` tables.
 """
 
 from __future__ import annotations
 
 from repro.config.machine import MachineConfig
-from repro.isa.opcodes import OP_FU, OP_INTERVAL, FUClass
+from repro.isa.opcodes import FUClass
 
 
 class FunctionalUnitPool:
@@ -35,27 +34,6 @@ class FunctionalUnitPool:
         #: per FU class (list index == ``FUClass`` value): operations
         #: issued so far.
         self.issued_per_class: list[int] = [0] * len(FUClass)
-
-    # ------------------------------------------------------------------
-    def try_claim(self, op: int, cycle: int) -> bool:  # repro: hot
-        """Claim a unit for ``op`` at ``cycle``; False if all are busy."""
-        fu = OP_FU[op]
-        units = self._units[fu]
-        i = 0
-        for free_at in units:
-            if free_at <= cycle:
-                units[i] = cycle + OP_INTERVAL[op]
-                self.issued_per_class[fu] += 1
-                return True
-            i += 1
-        return False
-
-    def available(self, op: int, cycle: int) -> bool:  # repro: hot
-        """Whether a unit could accept ``op`` at ``cycle`` (no claim)."""
-        for free_at in self._units[OP_FU[op]]:
-            if free_at <= cycle:
-                return True
-        return False
 
     def reset(self) -> None:
         """Mark every unit idle (watchdog flush)."""

@@ -14,11 +14,14 @@ relative comparisons are unaffected):
 
 from __future__ import annotations
 
-from repro.pipeline.dynamic import DynInstr
-
 
 class LoadStoreQueue:
-    """Occupancy tracking plus store-to-load forwarding for one thread."""
+    """Occupancy tracking plus store-to-load forwarding for one thread.
+
+    The core's stages operate on it directly: rename allocates entries
+    (in program order), issue probes :attr:`_stores` for an older store
+    to forward from, and commit releases entries.
+    """
 
     __slots__ = ("capacity", "count", "_stores", "forwards",
                  "last_alloc_tseq", "alloc_order_ok")
@@ -35,45 +38,6 @@ class LoadStoreQueue:
         #: (allocation must stay in program order even under OOO dispatch).
         self.last_alloc_tseq = -1
         self.alloc_order_ok = True
-
-    # ------------------------------------------------------------------
-    @property
-    def full(self) -> bool:
-        """True when rename must stall a memory instruction."""
-        return self.count >= self.capacity
-
-    def allocate(self, instr: DynInstr) -> None:
-        """Reserve an entry at rename; stores become forwarding sources."""
-        if self.full:
-            raise RuntimeError("LSQ overflow (rename stage bug)")
-        if instr.tseq <= self.last_alloc_tseq:
-            self.alloc_order_ok = False
-        else:
-            self.last_alloc_tseq = instr.tseq
-        self.count += 1
-        if instr.is_store:
-            self._stores.setdefault(instr.addr, []).append(instr.tseq)
-
-    def can_forward(self, instr: DynInstr) -> bool:
-        """Whether load ``instr`` hits an older in-flight store."""
-        seqs = self._stores.get(instr.addr)
-        if not seqs:
-            return False
-        if seqs[0] < instr.tseq:
-            self.forwards += 1
-            return True
-        return False
-
-    def release(self, instr: DynInstr) -> None:
-        """Free the entry at commit."""
-        self.count -= 1
-        if instr.is_store:
-            seqs = self._stores.get(instr.addr)
-            if seqs:
-                # Stores commit in program order, so the head is ours.
-                seqs.pop(0)
-                if not seqs:
-                    del self._stores[instr.addr]
 
     def reset(self) -> None:
         """Drop all state (watchdog flush)."""

@@ -8,7 +8,11 @@ from repro.pipeline.dynamic import DynInstr
 
 
 class ReorderBuffer:
-    """In-order retirement window of one SMT thread."""
+    """In-order retirement window of one SMT thread.
+
+    The core's rename stage appends to :attr:`_entries` and its commit
+    stage pops completed instructions off the head.
+    """
 
     __slots__ = ("capacity", "_entries")
 
@@ -30,16 +34,6 @@ class ReorderBuffer:
     def head(self) -> DynInstr | None:
         """Oldest in-flight instruction, or None when empty."""
         return self._entries[0] if self._entries else None
-
-    def allocate(self, instr: DynInstr) -> None:
-        """Append ``instr`` at the tail (rename order)."""
-        if self.full:
-            raise RuntimeError("ROB overflow (rename stage bug)")
-        self._entries.append(instr)
-
-    def retire_head(self) -> DynInstr:
-        """Remove and return the (completed) head instruction."""
-        return self._entries.popleft()
 
     def first_order_violation(self) -> DynInstr | None:
         """First entry breaking per-thread program (tseq) order, if any.

@@ -124,11 +124,6 @@ class SMTProcessor:
         self._done_events: dict[int, list[DynInstr]] = {}
         self._last_commit_cycle = 0
         self._events_fired = False
-        #: subclasses overriding ``new_instr`` (an observation hook used
-        #: by tests) force fetch onto the compat path that calls it.
-        self._custom_new_instr = (
-            type(self).new_instr is not SMTProcessor.new_instr
-        )
         self.sanitizer = None
         if cfg.sanitize:
             # Imported lazily: the analysis layer sits above the pipeline
@@ -220,29 +215,6 @@ class SMTProcessor:
             predictor.btb.lookups = 0
             predictor.btb.hits = 0
 
-    # ------------------------------------------------------------------
-    # instruction factory
-    # ------------------------------------------------------------------
-    def new_instr(self, ts: ThreadState, idx: int, cycle: int) -> DynInstr:
-        """Materialise trace instruction ``idx`` of thread ``ts``."""
-        trace = ts.trace
-        instr = DynInstr(
-            tid=ts.tid,
-            seq=self._seq,
-            tseq=idx,
-            op=trace.op[idx],
-            pc=trace.pc[idx],
-            addr=trace.addr[idx],
-            taken=trace.taken[idx],
-            target=trace.target[idx],
-            dest_l=trace.dest[idx],
-            src1_l=trace.src1[idx],
-            src2_l=trace.src2[idx],
-            fetch_cycle=cycle,
-        )
-        self._seq += 1
-        return instr
-
     def _rotation(self, cycle: int) -> tuple[ThreadState, ...]:  # repro: hot
         rotations = self._rotations
         return rotations[cycle % len(rotations)]
@@ -261,8 +233,8 @@ class SMTProcessor:
         stats = self.stats
         committed = stats.committed
         renamer = self.renamer
-        # Inlined RenameUnit.release: the pool boundary test replaces
-        # FreeList.owns, the deque append replaces FreeList.release.
+        # Retired mappings go back to their free list: registers at or
+        # above the FP pool's base belong to the FP pool.
         fp_base = renamer.fp_free._base
         int_append = renamer.int_free._free.append
         fp_append = renamer.fp_free._free.append
@@ -287,7 +259,7 @@ class SMTProcessor:
                     else:
                         int_append(old)
                 if head.is_load or head.is_store:
-                    lsq.count -= 1  # inlined LoadStoreQueue.release
+                    lsq.count -= 1  # release the LSQ entry
                     if head.is_store:
                         seqs = lsq._stores.get(head.addr)
                         if seqs:
@@ -327,7 +299,7 @@ class SMTProcessor:
             heap = iq.ready_heap
             for p in wakes:
                 ready[p] = 1
-                waiters = waiting.pop(p, None)  # inlined IssueQueue.wakeup
+                waiters = waiting.pop(p, None)  # IQ wakeup broadcast
                 if waiters:
                     for instr in waiters:
                         nw = instr.num_waiting - 1
@@ -352,42 +324,6 @@ class SMTProcessor:
                         if stall > ts.stalled_until:
                             ts.stalled_until = stall
 
-    def _start_execution(self, instr: DynInstr, cycle: int,
-                         from_iq: bool) -> None:  # repro: hot
-        instr.issued = True
-        instr.issue_cycle = cycle
-        ts = self.threads[instr.tid]
-        ts.icount -= 1
-        stats = self.stats
-        stats.issued += 1
-        if from_iq:
-            stats.iq_residency_sum += cycle - instr.dispatch_cycle
-            stats.iq_residency_count += 1
-        extra = 0
-        if instr.is_load:
-            if ts.lsq.can_forward(instr):
-                instr.forwarded = True
-            else:
-                extra = self.hierarchy.access_data(instr.addr).extra_latency
-                if extra >= self._mem_latency:
-                    instr.long_miss = True
-                    ts.pending_long_misses += 1
-        wake_at = cycle + OP_LATENCY[instr.op] + extra
-        done_at = wake_at + self._regread
-        if instr.dest_p >= 0:
-            events = self._wake_events
-            bucket = events.get(wake_at)
-            if bucket is None:
-                events[wake_at] = [instr.dest_p]  # repro: noqa[RPR008] — bucket birth
-            else:
-                bucket.append(instr.dest_p)
-        events = self._done_events
-        bucket = events.get(done_at)
-        if bucket is None:
-            events[done_at] = [instr]  # repro: noqa[RPR008] — event-bucket birth
-        else:
-            bucket.append(instr)
-
     @stage_contract(
         "issue",
         reads=("core", "config", "ready", "rob"),
@@ -395,42 +331,26 @@ class SMTProcessor:
                 "dab", "instr"),
     )
     def _issue(self, cycle: int) -> None:  # repro: hot
-        budget = self._issue_width
-        fu = self.fu
-        dab = self.dab
-        if dab is not None and dab.entries:
-            # Deadlock-avoidance instructions take precedence (§4); their
-            # sources are ready by construction.
-            try_claim = fu.try_claim
-            start = self._start_execution
-            remaining: list[DynInstr] = []  # repro: noqa[RPR008] — rare DAB path
-            for instr in dab.entries:
-                if budget > 0 and try_claim(instr.op, cycle):
-                    instr.in_dab = False
-                    budget -= 1
-                    self.stats.dab_issues += 1
-                    start(instr, cycle, from_iq=False)
-                else:
-                    remaining.append(instr)
-            dab.entries = remaining
-            if self._dab_exclusive and dab.entries:
-                # Paper §4 simple arbitration: while the deadlock buffer
-                # is occupied, IQ selection is disabled this cycle.
-                return
-        if budget <= 0:
-            return
+        """Select up to ``issue_width`` instructions and start them.
+
+        Deadlock-avoidance buffer entries take precedence (§4): select
+        walks the buffer in order, then pops the IQ's oldest-first ready
+        heap. Buffered instructions have ready sources by construction.
+        Both sources share one FU-claim block and one start-execution
+        block.
+        """
         heap = self.iq.ready_heap
-        if not heap:
+        dab = self.dab
+        dab_entries = dab.entries if dab is not None else None
+        if dab_entries:
+            n_dab = len(dab_entries)
+        elif heap:
+            n_dab = 0
+        else:
             return
-        # Tests wrap ``_start_execution`` (instance attribute or subclass
-        # override) to observe issues; any wrapper disables the inlined
-        # fast path below so every issue still goes through it.
-        start = self._start_execution
-        custom_start = (
-            getattr(start, "__func__", None)
-            is not SMTProcessor._start_execution
-        )
+        budget = self._issue_width
         iq = self.iq
+        fu = self.fu
         fu_units = fu._units
         issued_per_class = fu.issued_per_class
         threads = self.threads
@@ -440,18 +360,33 @@ class SMTProcessor:
         regread = self._regread
         wake_events = self._wake_events
         done_events = self._done_events
-        deferred = None
+        dab_exclusive = self._dab_exclusive
+        kept = None      # DAB entries whose FU class is busy this cycle
+        deferred = None  # FU-blocked heap items, pushed back after select
+        k = 0
         scanned = 0
         issued_n = 0
+        dab_n = 0
         resid_sum = 0
-        while heap and budget > 0 and scanned < _SELECT_SCAN_LIMIT:
-            item = heappop(heap)
-            instr = item[1]
-            scanned += 1
-            if not instr.in_iq:
-                continue
+        while budget > 0:
+            if k < n_dab:
+                instr = dab_entries[k]
+                item = None
+                k += 1
+            elif kept is not None and dab_exclusive:
+                # Paper §4 simple arbitration: while the deadlock buffer
+                # is occupied, IQ selection is disabled this cycle.
+                break
+            elif heap and scanned < _SELECT_SCAN_LIMIT:
+                item = heappop(heap)
+                instr = item[1]
+                scanned += 1
+                if not instr.in_iq:
+                    continue
+            else:
+                break
+            # Claim the first free unit of the op's FU class.
             op = instr.op
-            # Inlined FunctionalUnitPool.try_claim.
             fuc = OP_FU[op]
             units = fu_units[fuc]
             claimed = False
@@ -463,58 +398,69 @@ class SMTProcessor:
                     claimed = True
                     break
                 i += 1
-            if claimed:
-                instr.in_iq = False  # inlined IssueQueue.remove_on_issue
-                iq.occupancy -= 1
-                budget -= 1
-                if custom_start:
-                    start(instr, cycle, from_iq=True)
-                    continue
-                # Inlined _start_execution (from_iq=True): see that
-                # method for the reference semantics.
-                instr.issued = True
-                instr.issue_cycle = cycle
-                ts = threads[instr.tid]
-                ts.icount -= 1
-                issued_n += 1
-                resid_sum += cycle - instr.dispatch_cycle
-                extra = 0
-                if instr.is_load:
-                    # Inlined LoadStoreQueue.can_forward.
-                    lsq = ts.lsq
-                    seqs = lsq._stores.get(instr.addr)
-                    if seqs and seqs[0] < instr.tseq:
-                        lsq.forwards += 1
-                        instr.forwarded = True
+            if not claimed:
+                if item is None:
+                    if kept is None:
+                        kept = [instr]  # repro: noqa[RPR008] — rare DAB path
                     else:
-                        extra = access_data(instr.addr).extra_latency
-                        if extra >= mem_latency:
-                            instr.long_miss = True
-                            ts.pending_long_misses += 1
-                wake_at = cycle + OP_LATENCY[op] + extra
-                dest = instr.dest_p
-                if dest >= 0:
-                    bucket = wake_events.get(wake_at)
-                    if bucket is None:
-                        # repro: noqa[RPR008] on bucket births: one
-                        # list per event cycle, amortised.
-                        wake_events[wake_at] = [dest]  # repro: noqa[RPR008]
-                    else:
-                        bucket.append(dest)
-                done_at = wake_at + regread
-                bucket = done_events.get(done_at)
-                if bucket is None:
-                    done_events[done_at] = [instr]  # repro: noqa[RPR008]
+                        kept.append(instr)
+                elif deferred is None:
+                    deferred = [item]  # repro: noqa[RPR008] — lazy; only on FU conflicts
                 else:
-                    bucket.append(instr)
-            elif deferred is None:
-                deferred = [item]  # repro: noqa[RPR008] — lazy; only on FU conflicts
+                    deferred.append(item)
+                continue
+            budget -= 1
+            issued_n += 1
+            if item is None:
+                instr.in_dab = False
+                dab_n += 1
             else:
-                deferred.append(item)
+                instr.in_iq = False
+                iq.occupancy -= 1
+                resid_sum += cycle - instr.dispatch_cycle
+            # Start execution: a load resolves its cache access now (or
+            # forwards from an older in-flight store of its thread), and
+            # the wakeup and completion events are scheduled.
+            instr.issued = True
+            instr.issue_cycle = cycle
+            ts = threads[instr.tid]
+            ts.icount -= 1
+            extra = 0
+            if instr.is_load:
+                lsq = ts.lsq
+                seqs = lsq._stores.get(instr.addr)
+                if seqs and seqs[0] < instr.tseq:
+                    lsq.forwards += 1
+                    instr.forwarded = True
+                else:
+                    extra = access_data(instr.addr).extra_latency
+                    if extra >= mem_latency:
+                        instr.long_miss = True
+                        ts.pending_long_misses += 1
+            wake_at = cycle + OP_LATENCY[op] + extra
+            dest = instr.dest_p
+            if dest >= 0:
+                bucket = wake_events.get(wake_at)
+                if bucket is None:
+                    # repro: noqa[RPR008] on bucket births: one
+                    # list per event cycle, amortised.
+                    wake_events[wake_at] = [dest]  # repro: noqa[RPR008]
+                else:
+                    bucket.append(dest)
+            done_at = wake_at + regread
+            bucket = done_events.get(done_at)
+            if bucket is None:
+                done_events[done_at] = [instr]  # repro: noqa[RPR008]
+            else:
+                bucket.append(instr)
+        if n_dab:
+            left = dab_entries[k:]
+            dab.entries = kept + left if kept is not None else left
+            stats.dab_issues += dab_n
         if issued_n:
             stats.issued += issued_n
             stats.iq_residency_sum += resid_sum
-            stats.iq_residency_count += issued_n
+            stats.iq_residency_count += issued_n - dab_n
         if deferred:
             for item in deferred:
                 heappush(heap, item)
@@ -698,9 +644,8 @@ class SMTProcessor:
                 is_mem = instr.is_load or instr.is_store
                 if is_mem and lsq.count >= lsq_cap:
                     break
-                # Inlined RenameUnit.rename (+ can_rename): map table and
-                # free lists accessed directly; RenameUnit.rename stays
-                # the reference form. Source lookups are unconditional:
+                # Rename through the thread's map table and the shared
+                # free lists. Source lookups are unconditional:
                 # zero registers are pinned to NO_PREG in the map table,
                 # and NO_REG (-1) indexes the last entry — the FP zero
                 # register, also NO_PREG (see RenameMapTable).
@@ -714,7 +659,7 @@ class SMTProcessor:
                     free = fp_free if dest >= FP_BASE else int_free
                     if not free:
                         break  # destination free list exhausted
-                    dest_p = free.popleft()  # inlined FreeList.allocate
+                    dest_p = free.popleft()
                     ready[dest_p] = 0
                     old_p = table_map[dest]
                     table_map[dest] = dest_p
@@ -724,10 +669,10 @@ class SMTProcessor:
                 instr.src1_p = src1_p
                 instr.src2_p = src2_p
                 instr.rename_cycle = cycle
-                rob_append(instr)  # inlined ReorderBuffer.allocate
+                rob_append(instr)
                 if is_mem:
-                    # Inlined LoadStoreQueue.allocate (capacity verified
-                    # above; program-order watermark kept for sanitizer).
+                    # Allocate the LSQ entry (capacity verified above;
+                    # program-order watermark kept for the sanitizer).
                     tseq = instr.tseq
                     if tseq <= lsq.last_alloc_tseq:
                         lsq.alloc_order_ok = False
@@ -826,7 +771,7 @@ class SMTProcessor:
         self._rename(cycle)
         self._fetch_cycle(self, cycle)
         iq = self.iq
-        iq.occupancy_integral += iq.occupancy  # inlined IssueQueue.tick()
+        iq.occupancy_integral += iq.occupancy
         self.stats.cycles += 1
         self.cycle = cycle + 1
         sanitizer = self.sanitizer

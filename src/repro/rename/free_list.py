@@ -28,15 +28,3 @@ class FreeList:
     def allocate(self) -> int:
         """Pop a free physical register; raises ``IndexError`` when empty."""
         return self._free.popleft()
-
-    def release(self, reg: int) -> None:
-        """Return a register to the pool."""
-        if not self._base <= reg < self._limit:
-            raise ValueError(
-                f"register {reg} outside pool [{self._base}, {self._limit})"
-            )
-        self._free.append(reg)
-
-    def owns(self, reg: int) -> bool:
-        """True when ``reg`` belongs to this pool's range."""
-        return self._base <= reg < self._limit

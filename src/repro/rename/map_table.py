@@ -23,12 +23,6 @@ class RenameMapTable:
     def __init__(self) -> None:
         self._map: list[int] = [NO_PREG] * NUM_LOGICAL_REGS
 
-    def lookup(self, logical: int) -> int:
-        """Current physical mapping of ``logical`` (``NO_PREG`` if none)."""
-        if logical < 0:
-            return NO_PREG
-        return self._map[logical]
-
     def remap(self, logical: int, phys: int) -> int:
         """Point ``logical`` at ``phys``; returns the previous mapping."""
         if is_zero_reg(logical):

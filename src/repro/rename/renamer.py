@@ -10,9 +10,9 @@ deadlock-safe for dependences.
 from __future__ import annotations
 
 from repro.config.machine import MachineConfig
-from repro.isa.registers import FP_BASE, NO_REG, is_zero_reg
+from repro.isa.registers import FP_BASE, is_zero_reg
 from repro.rename.free_list import FreeList
-from repro.rename.map_table import NO_PREG, RenameMapTable
+from repro.rename.map_table import RenameMapTable
 
 
 class RenameUnit:
@@ -20,7 +20,9 @@ class RenameUnit:
 
     The ready scoreboard is shared with the issue queue: entry ``p`` of
     :attr:`ready` is 1 when physical register ``p`` holds its final
-    value. ``NO_PREG`` sources are ready by definition.
+    value. ``NO_PREG`` sources are ready by definition. The core's
+    rename, writeback and commit stages operate on the map tables,
+    free lists and scoreboard directly.
     """
 
     __slots__ = ("cfg", "num_threads", "int_free", "fp_free", "maps", "ready")
@@ -65,52 +67,6 @@ class RenameUnit:
                 phys = pool.allocate()
                 table.remap(logical, phys)
                 self.ready[phys] = 1
-
-    # ------------------------------------------------------------------
-    def can_rename(self, tid: int, dest: int) -> bool:
-        """True when a destination register (if any) can be allocated."""
-        if dest == NO_REG or is_zero_reg(dest):
-            return True
-        pool = self.fp_free if dest >= FP_BASE else self.int_free
-        return len(pool) > 0
-
-    def rename(self, tid: int, dest: int, src1: int, src2: int,
-               ) -> tuple[int, int, int, int]:
-        """Rename one instruction of thread ``tid``.
-
-        Returns ``(dest_p, old_dest_p, src1_p, src2_p)``. The new
-        destination register is marked not-ready. The caller must check
-        :meth:`can_rename` first; running out of registers here raises.
-        """
-        table = self.maps[tid]
-        src1_p = NO_PREG if src1 == NO_REG or is_zero_reg(src1) \
-            else table.lookup(src1)
-        src2_p = NO_PREG if src2 == NO_REG or is_zero_reg(src2) \
-            else table.lookup(src2)
-        if dest == NO_REG or is_zero_reg(dest):
-            return NO_PREG, NO_PREG, src1_p, src2_p
-        pool = self.fp_free if dest >= FP_BASE else self.int_free
-        dest_p = pool.allocate()
-        self.ready[dest_p] = 0
-        old = table.remap(dest, dest_p)
-        return dest_p, old, src1_p, src2_p
-
-    # ------------------------------------------------------------------
-    def is_ready(self, phys: int) -> bool:
-        """Readiness of a physical register (``NO_PREG`` is ready)."""
-        return phys < 0 or bool(self.ready[phys])
-
-    def mark_ready(self, phys: int) -> None:
-        """Set the ready bit (writeback)."""
-        if phys >= 0:
-            self.ready[phys] = 1
-
-    def release(self, phys: int) -> None:
-        """Return a physical register to its free list (commit time)."""
-        if phys < 0:
-            return
-        pool = self.fp_free if self.fp_free.owns(phys) else self.int_free
-        pool.release(phys)
 
     # ------------------------------------------------------------------
     def reset(self) -> None:

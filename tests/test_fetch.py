@@ -2,8 +2,11 @@
 
 from repro.config.presets import small_machine
 from repro.frontend.icount import icount_order, round_robin_order
+from repro.isa.opcodes import OpClass
+from repro.isa.registers import FP_BASE
+from repro.pipeline.dynamic import DynInstr
 from repro.pipeline.smt_core import SMTProcessor
-from tests.trace_builder import TraceBuilder
+from tests.trace_builder import TraceBuilder, record_fetches
 
 
 class FakeThread:
@@ -89,6 +92,49 @@ class TestFetchBehaviour:
             core.fetch_unit.fetch_cycle(core, core.cycle)
             core.cycle += 1
         assert len(ts.pipe) <= ts.pipe_capacity
+
+
+class TestFetchConstructor:
+    def test_fetched_instr_matches_reference_constructor(self):
+        """Fetch builds each ``DynInstr`` field by field instead of
+        calling ``DynInstr.__init__``; both must agree on every slot
+        for the same trace index (branch prediction state is filled in
+        by fetch after construction, so it is carried over)."""
+        tb = TraceBuilder()
+        tb.ialu(dest=1, src1=2, src2=3)
+        tb.load(dest=4, src1=1, addr=0x40)
+        tb.store(src1=4, src2=1, addr=0x80)
+        tb.add(OpClass.FPMUL, dest=FP_BASE + 2, src1=FP_BASE + 1)
+        tb.branch(src1=4, taken=False, target=0x200)
+        tb.add(OpClass.IDIV, dest=5, src1=4, src2=1)
+        tb.nops(4)
+        traces = [tb.build(), tb.build()]
+        core = SMTProcessor(small_machine(), traces)
+        instrs = record_fetches(core)
+        for cycle in range(4):
+            core._fetch_cycle(core, cycle)
+        # Both threads fetched up to and including the branch.
+        assert {(d.tid, d.op) for d in instrs} >= {
+            (tid, int(op)) for tid in (0, 1)
+            for op in (OpClass.LOAD, OpClass.STORE, OpClass.BRANCH)
+        }
+        for got in instrs:
+            trace = traces[got.tid]
+            idx = got.tseq
+            ref = DynInstr(
+                tid=got.tid, seq=got.seq, tseq=idx, op=trace.op[idx],
+                pc=trace.pc[idx], addr=trace.addr[idx],
+                taken=trace.taken[idx], target=trace.target[idx],
+                dest_l=trace.dest[idx], src1_l=trace.src1[idx],
+                src2_l=trace.src2[idx], fetch_cycle=got.fetch_cycle,
+            )
+            if got.is_branch:
+                assert got.prediction is not None
+                ref.prediction = got.prediction
+                ref.mispredicted = got.prediction.mispredicted
+            for slot in DynInstr.__slots__:
+                assert getattr(got, slot) == getattr(ref, slot), slot
+        assert sorted(d.seq for d in instrs) == list(range(len(instrs)))
 
 
 class TestRoundRobinConfig:

@@ -10,15 +10,14 @@ from hypothesis import strategies as st
 from repro.branch.gshare import GShare
 from repro.config.machine import CacheConfig
 from repro.config.presets import tiny_machine
-from repro.core.iq import IssueQueue
 from repro.isa.opcodes import OpClass
 from repro.memory.cache import SetAssociativeCache
 from repro.metrics.aggregate import geometric_mean, harmonic_mean
 from repro.pipeline.dynamic import DynInstr
 from repro.pipeline.smt_core import SMTProcessor
-from repro.rename.free_list import FreeList
 from repro.trace.generator import Trace
 from repro.util.rng import derive_seed
+from tests.trace_builder import hand_instr, idle_core, rename_through, wake
 
 # ---------------------------------------------------------------------------
 # aggregation properties
@@ -55,16 +54,30 @@ class TestMeanProperties:
 
 class TestFreeListProperties:
     @given(st.lists(st.booleans(), max_size=60))
+    @settings(max_examples=60)
     def test_alloc_release_conservation(self, ops):
-        fl = FreeList(0, 8)
-        held: list[int] = []
+        """Rename (allocate) and commit (release) in any interleaving
+        through the core's stages: every integer physical register is
+        in exactly one of the free list, the map table, or a ROB
+        entry's retiring mapping."""
+        core = idle_core(tiny_machine().replace(rob_size=64,
+                                                dispatch_buffer_depth=64))
+        ts = core.threads[0]
+        free = core.renamer.int_free
+        fp_base = free._limit
         for do_alloc in ops:
-            if do_alloc and len(fl):
-                held.append(fl.allocate())
-            elif held:
-                fl.release(held.pop())
-        assert len(fl) + len(held) == 8
-        assert len(set(held)) == len(held)  # no double allocation
+            if do_alloc and len(free):
+                instr = hand_instr(core._seq, tseq=core._seq, dest_l=3)
+                core._seq += 1
+                rename_through(core, instr)
+                assert instr.rename_cycle == 0
+            elif len(ts.rob):
+                ts.rob.head.completed = True
+                core._commit(0)
+        held = [p for p in core.renamer.maps[0]._map if 0 <= p < fp_base]
+        held += [d.old_dest_p for d in ts.rob]
+        owners = list(free._free) + held
+        assert sorted(owners) == list(range(free.capacity))
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +128,11 @@ def _di(seq, src1, src2):
     return d
 
 
+#: Eight physical registers that are free, hence not ready, in a fresh
+#: tiny_machine core (the architectural mappings take the lowest ids).
+_TAGS = tuple(range(40, 48))
+
+
 class TestIssueQueueProperties:
     @given(
         st.lists(
@@ -125,19 +143,25 @@ class TestIssueQueueProperties:
     )
     @settings(max_examples=80)
     def test_ready_set_matches_brute_force(self, sources, wake_order):
-        ready_bits = bytearray(8)
-        iq = IssueQueue(32, 2, ready_bits)
-        instrs = [_di(i, s1, s2) for i, (s1, s2) in enumerate(sources)]
+        """Entries inserted into a core's queue and woken through its
+        writeback stage are ready exactly when a brute-force scan of
+        the scoreboard says so."""
+        core = idle_core(tiny_machine(iq_size=32))
+        iq = core.iq
+        ready_bits = core.renamer.ready
+        assert not any(ready_bits[t] for t in _TAGS)
+        tag = (-1,) + _TAGS  # source -1 (no operand) stays -1
+        instrs = [_di(i, tag[s1 + 1], tag[s2 + 1])
+                  for i, (s1, s2) in enumerate(sources)]
         for d in instrs:
             iq.insert(d, 0)
-        for tag in wake_order:
-            ready_bits[tag] = 1
-            iq.wakeup(tag)
+        for cycle, t in enumerate(wake_order):
+            wake(core, _TAGS[t], cycle=cycle)
         expected = [
             d for d in instrs
             if all(p < 0 or ready_bits[p] for p in (d.src1_p, d.src2_p))
         ]
-        got = iq.drain_ready()
+        got = [d for _, d in sorted(iq.ready_heap) if d.in_iq]
         assert got == sorted(expected, key=lambda d: d.seq)
 
 

@@ -1,4 +1,9 @@
-"""Register renaming tests: free lists, map tables, rename unit."""
+"""Register renaming tests: free lists, map tables, rename unit.
+
+The core's rename, writeback and commit stages operate on the map
+tables, free lists and ready scoreboard directly, so renaming behaviour
+is pinned through those stages.
+"""
 
 import pytest
 
@@ -7,28 +12,72 @@ from repro.isa.registers import FP_BASE, NO_REG, REG_INT_ZERO
 from repro.rename.free_list import FreeList
 from repro.rename.map_table import NO_PREG, RenameMapTable
 from repro.rename.renamer import RenameUnit
+from tests.trace_builder import hand_instr, idle_core, rename_through, wake
+
+
+def is_ready(core, phys):
+    """Scoreboard view: ``NO_PREG`` is ready by definition."""
+    return phys < 0 or bool(core.renamer.ready[phys])
+
+
+def rename(core, dest, src1=NO_REG, src2=NO_REG, tid=0, cycle=0):
+    """Rename one instruction through the core; returns it (its
+    ``rename_cycle`` stays -1 if rename stalled)."""
+    ts = core.threads[tid]
+    instr = hand_instr(core._seq, tid=tid, tseq=len(ts.rob) + len(ts.pipe),
+                       dest_l=dest, src1_l=src1, src2_l=src2)
+    core._seq += 1
+    rename_through(core, instr, cycle=cycle)
+    # Stand-in for dispatch: keep the dispatch buffer from filling.
+    ts.dispatch_buffer.clear()
+    return instr
+
+
+def retire_oldest(core, tid=0, cycle=0):
+    """Complete thread ``tid``'s ROB head and run the commit stage."""
+    core.threads[tid].rob.head.completed = True
+    core._commit(cycle)
 
 
 class TestFreeList:
     def test_allocate_release_roundtrip(self):
+        """Registers leave the free list at rename and come back at the
+        commit of the next writer of the same logical register, in
+        FIFO order."""
         fl = FreeList(0, 4)
         regs = [fl.allocate() for _ in range(4)]
         assert sorted(regs) == [0, 1, 2, 3]
         assert len(fl) == 0
         with pytest.raises(IndexError):
             fl.allocate()
-        fl.release(regs[0])
-        assert fl.allocate() == regs[0]
-
-    def test_release_out_of_range(self):
-        fl = FreeList(10, 4)
-        with pytest.raises(ValueError):
-            fl.release(3)
+        core = idle_core(small_machine())
+        free = core.renamer.int_free
+        before = len(free)
+        first = rename(core, 3)
+        second = rename(core, 3)
+        assert len(free) == before - 2
+        retire_oldest(core)
+        retire_oldest(core)
+        assert len(free) == before
+        # The two retired mappings went to the tail of the FIFO.
+        assert list(free._free)[-2:] == [first.old_dest_p,
+                                         second.old_dest_p]
 
     def test_owns(self):
-        fl = FreeList(10, 4)
-        assert fl.owns(10) and fl.owns(13)
-        assert not fl.owns(9) and not fl.owns(14)
+        """Commit returns each retired mapping to the pool that owns
+        it: FP registers sit at or above the FP pool's base."""
+        core = idle_core(small_machine())
+        renamer = core.renamer
+        int_before, fp_before = len(renamer.int_free), len(renamer.fp_free)
+        old_int = rename(core, 3).old_dest_p
+        old_fp = rename(core, FP_BASE + 3).old_dest_p
+        assert old_int < renamer.fp_free._base <= old_fp
+        retire_oldest(core)
+        retire_oldest(core)
+        assert old_int in renamer.int_free._free
+        assert old_fp in renamer.fp_free._free
+        assert len(renamer.int_free) == int_before
+        assert len(renamer.fp_free) == fp_before
 
     def test_capacity(self):
         assert FreeList(5, 7).capacity == 7
@@ -40,15 +89,17 @@ class TestFreeList:
 
 class TestMapTable:
     def test_initial_mappings_empty(self):
+        """The rename stage looks sources up unconditionally: zero
+        registers and ``NO_REG`` (-1, the last entry) map to NO_PREG."""
         t = RenameMapTable()
-        assert t.lookup(0) == NO_PREG
-        assert t.lookup(NO_REG) == NO_PREG
+        assert t._map[0] == NO_PREG
+        assert t._map[NO_REG] == NO_PREG
 
     def test_remap_returns_old(self):
         t = RenameMapTable()
         assert t.remap(3, 100) == NO_PREG
         assert t.remap(3, 101) == 100
-        assert t.lookup(3) == 101
+        assert t._map[3] == 101
 
     def test_zero_register_pinned(self):
         t = RenameMapTable()
@@ -59,72 +110,76 @@ class TestMapTable:
         t = RenameMapTable()
         snap = t.mappings()
         snap[0] = 42
-        assert t.lookup(0) == NO_PREG
+        assert t._map[0] == NO_PREG
 
 
 class TestRenameUnit:
-    def _unit(self, threads=1):
-        return RenameUnit(small_machine(), threads)
+    def _core(self, threads=1):
+        return idle_core(small_machine(), threads)
 
     def test_initial_mappings_are_ready(self):
-        u = self._unit()
+        core = self._core()
+        table = core.renamer.maps[0]._map
         for logical in (0, 5, FP_BASE, FP_BASE + 3):
-            assert u.is_ready(u.maps[0].lookup(logical))
+            assert is_ready(core, table[logical])
 
     def test_rename_allocates_not_ready_dest(self):
-        u = self._unit()
-        d, old, s1, s2 = u.rename(0, 3, 1, 2)
-        assert d >= 0 and not u.is_ready(d)
-        assert old >= 0  # initial mapping existed
-        assert u.is_ready(s1) and u.is_ready(s2)
-        assert u.maps[0].lookup(3) == d
+        core = self._core()
+        i = rename(core, 3, 1, 2)
+        assert i.rename_cycle == 0
+        assert i.dest_p >= 0 and not is_ready(core, i.dest_p)
+        assert i.old_dest_p >= 0  # initial mapping existed
+        assert is_ready(core, i.src1_p) and is_ready(core, i.src2_p)
+        assert core.renamer.maps[0]._map[3] == i.dest_p
 
     def test_dependence_through_renamed_register(self):
-        u = self._unit()
-        d1, _, _, _ = u.rename(0, 3, NO_REG, NO_REG)
-        _, _, s1, _ = u.rename(0, 4, 3, NO_REG)
-        assert s1 == d1
-        assert not u.is_ready(s1)
-        u.mark_ready(d1)
-        assert u.is_ready(s1)
+        core = self._core()
+        producer = rename(core, 3)
+        consumer = rename(core, 4, 3)
+        assert consumer.src1_p == producer.dest_p
+        assert not is_ready(core, consumer.src1_p)
+        wake(core, producer.dest_p)
+        assert is_ready(core, consumer.src1_p)
 
     def test_zero_register_sources_and_dests(self):
-        u = self._unit()
-        d, old, s1, s2 = u.rename(0, REG_INT_ZERO, REG_INT_ZERO, NO_REG)
-        assert d == NO_PREG and old == NO_PREG
-        assert s1 == NO_PREG and u.is_ready(s1)
+        core = self._core()
+        i = rename(core, REG_INT_ZERO, REG_INT_ZERO)
+        assert i.dest_p == NO_PREG and i.old_dest_p == NO_PREG
+        assert i.src1_p == NO_PREG and is_ready(core, i.src1_p)
 
     def test_threads_have_independent_maps(self):
-        u = self._unit(threads=2)
-        d0, _, _, _ = u.rename(0, 3, NO_REG, NO_REG)
-        d1, _, _, _ = u.rename(1, 3, NO_REG, NO_REG)
+        core = self._core(threads=2)
+        d0 = rename(core, 3, tid=0).dest_p
+        d1 = rename(core, 3, tid=1).dest_p
         assert d0 != d1
-        assert u.maps[0].lookup(3) == d0
-        assert u.maps[1].lookup(3) == d1
+        assert core.renamer.maps[0]._map[3] == d0
+        assert core.renamer.maps[1]._map[3] == d1
 
     def test_fp_and_int_pools_separate(self):
-        u = self._unit()
-        di, _, _, _ = u.rename(0, 3, NO_REG, NO_REG)
-        df, _, _, _ = u.rename(0, FP_BASE + 3, NO_REG, NO_REG)
-        assert u.int_free.owns(di)
-        assert u.fp_free.owns(df)
+        core = self._core()
+        fp_base = core.renamer.fp_free._base
+        assert rename(core, 3).dest_p < fp_base
+        assert rename(core, FP_BASE + 3).dest_p >= fp_base
 
     def test_release_returns_register(self):
-        u = self._unit()
-        before = len(u.int_free)
-        d, old, _, _ = u.rename(0, 3, NO_REG, NO_REG)
-        assert len(u.int_free) == before - 1
-        u.release(old)
-        assert len(u.int_free) == before
+        core = self._core()
+        free = core.renamer.int_free
+        before = len(free)
+        rename(core, 3)
+        assert len(free) == before - 1
+        retire_oldest(core)
+        assert len(free) == before
 
     def test_can_rename_tracks_exhaustion(self):
-        u = self._unit()
-        while len(u.int_free):
-            assert u.can_rename(0, 3)
-            u.rename(0, 3, NO_REG, NO_REG)
-        assert not u.can_rename(0, 3)
-        assert u.can_rename(0, NO_REG)  # no dest needed
-        assert u.can_rename(0, FP_BASE + 1)  # fp pool unaffected
+        """An empty free list stalls rename of a destination of its
+        class only: no-destination and other-class renames proceed."""
+        core = self._core(threads=2)
+        core.renamer.int_free._free.clear()
+        assert rename(core, NO_REG, tid=0).rename_cycle == 0
+        assert rename(core, FP_BASE + 1, tid=0).rename_cycle == 0
+        stalled = rename(core, 3, tid=1)
+        assert stalled.rename_cycle == -1
+        assert core.threads[1].pipe[0][1] is stalled
 
     def test_too_many_threads_rejected(self):
         cfg = tiny_machine()  # 48 phys regs: one thread needs 31
@@ -132,9 +187,10 @@ class TestRenameUnit:
             RenameUnit(cfg, 4)
 
     def test_reset_restores_initial_state(self):
-        u = self._unit()
-        u.rename(0, 3, NO_REG, NO_REG)
+        core = self._core()
+        u = core.renamer
+        rename(core, 3)
         free_after_rename = len(u.int_free)
         u.reset()
         assert len(u.int_free) == free_after_rename + 1
-        assert u.is_ready(u.maps[0].lookup(3))
+        assert is_ready(core, u.maps[0]._map[3])

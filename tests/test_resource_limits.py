@@ -1,12 +1,12 @@
 """Structural-resource corner cases: every back-pressure path of the
 pipeline exercised in isolation."""
 
-import pytest
+from collections import Counter
 
 from repro.config.presets import small_machine, tiny_machine
 from repro.isa.opcodes import OpClass
 from repro.pipeline.smt_core import SMTProcessor
-from tests.trace_builder import TraceBuilder
+from tests.trace_builder import TraceBuilder, record_fetches
 
 
 def run(trace, cfg, max_insns=10_000):
@@ -22,17 +22,11 @@ class TestIssueWidth:
         cfg = small_machine()  # 4-wide
         trace = TraceBuilder().nops(64).build()
         core = SMTProcessor(cfg, [trace])
-        issues_per_cycle = {}
-
-        orig = core._start_execution
-
-        def counting(instr, cycle, from_iq):
-            issues_per_cycle[cycle] = issues_per_cycle.get(cycle, 0) + 1
-            orig(instr, cycle, from_iq)
-
-        core._start_execution = counting
+        instrs = record_fetches(core)
         core.run(10_000)
-        assert max(issues_per_cycle.values()) <= cfg.issue_width
+        issues_per_cycle = Counter(d.issue_cycle for d in instrs)
+        assert sum(issues_per_cycle.values()) == 64
+        assert max(issues_per_cycle.values()) == cfg.issue_width
 
 
 class TestCommitWidth:

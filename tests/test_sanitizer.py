@@ -24,7 +24,7 @@ from repro.experiments.cli import build_parser
 from repro.isa.opcodes import OpClass
 from repro.pipeline.dynamic import DynInstr
 from repro.pipeline.smt_core import SMTProcessor
-from tests.trace_builder import TraceBuilder
+from tests.trace_builder import TraceBuilder, hand_instr, idle_core, rename_through
 
 
 def serial_trace(n: int = 400):
@@ -175,11 +175,15 @@ class TestFaultInjection:
         expect_violation(core, "lsq-alloc-order")
 
     def test_lsq_tracks_out_of_order_allocation(self):
-        lsq = SMTProcessor(small_machine(), [serial_trace()]).threads[0].lsq
-        older, younger = fake_instr(tseq=3), fake_instr(tseq=7)
-        lsq.allocate(younger)
+        """The rename stage flags an LSQ allocation that goes back in
+        program order; a reset clears the flag."""
+        core = idle_core(small_machine())
+        lsq = core.threads[0].lsq
+        younger = hand_instr(0, op=OpClass.LOAD, tseq=7)
+        older = hand_instr(1, op=OpClass.STORE, tseq=3)
+        rename_through(core, younger)
         assert lsq.alloc_order_ok
-        lsq.allocate(older)
+        rename_through(core, older)
         assert not lsq.alloc_order_ok
         lsq.reset()
         assert lsq.alloc_order_ok

@@ -15,13 +15,12 @@ from types import SimpleNamespace
 import pytest
 
 from repro.config.presets import small_machine
-from repro.isa.opcodes import OP_INTERVAL, OpClass
-from repro.pipeline.fu import FunctionalUnitPool
+from repro.isa.opcodes import OP_INTERVAL, FUClass, OpClass
 from repro.pipeline.lsq import LoadStoreQueue
 from repro.pipeline.rob import ReorderBuffer
 from repro.pipeline.smt_core import SMTProcessor
 from repro.pipeline.thread import ThreadState
-from tests.trace_builder import TraceBuilder
+from tests.trace_builder import TraceBuilder, hand_instr, record_fetches
 
 
 def mixed_trace(n=300):
@@ -66,66 +65,40 @@ class TestIssueAccounting:
         assert s.iq_residency_sum >= s.iq_residency_count
 
     def test_observed_issues_match_the_counters_exactly(self):
-        """A ``_start_execution`` observer recomputes issued /
-        iq_residency_{sum,count} independently; the stats must agree
-        exactly (catches dropped *and* doubled increments)."""
-
-        class Obs(SMTProcessor):
-            def __init__(self, *a, **k):
-                super().__init__(*a, **k)
-                self.obs_issued = 0
-                self.obs_sum = 0
-                self.obs_count = 0
-
-            def _start_execution(self, instr, cycle, from_iq):
-                self.obs_issued += 1
-                if from_iq:
-                    self.obs_sum += cycle - instr.dispatch_cycle
-                    self.obs_count += 1
-                return super()._start_execution(instr, cycle, from_iq)
-
-        core = Obs(small_machine(iq_size=8), [mixed_trace(120)])
+        """Issued / iq_residency_{sum,count} recomputed independently
+        from the recorded instructions' own issue and dispatch stamps
+        must agree exactly with the stats (catches dropped *and* doubled
+        increments)."""
+        core = SMTProcessor(small_machine(iq_size=8), [mixed_trace(120)])
+        instrs = record_fetches(core)
         s = core.run(10_000)
-        assert s.issued == core.obs_issued == 120
-        assert s.iq_residency_sum == core.obs_sum
-        assert s.iq_residency_count == core.obs_count
+        assert s.dab_issues == 0 and s.watchdog_flushes == 0
+        issued = [d for d in instrs if d.issued]
+        assert s.issued == len(issued) == 120
+        assert s.iq_residency_sum == sum(
+            d.issue_cycle - d.dispatch_cycle for d in issued
+        )
+        assert s.iq_residency_count == len(issued)
 
     def test_long_miss_classification_is_exact(self):
         """Only L2 misses are long misses, and a memory access sits
         *exactly* on the ``extra >= memory_latency`` boundary: cold
         4 KiB-strided loads must all be flagged, warmed L1 hits must
         not (catches both off-by-one directions and the swapped
-        comparison, on the inlined issue path and on the observed
-        ``_start_execution`` path)."""
-
-        class Rec(SMTProcessor):
-            def __init__(self, *a, **k):
-                super().__init__(*a, **k)
-                self.instrs = []
-
-            def new_instr(self, ts, idx, cycle):
-                di = super().new_instr(ts, idx, cycle)
-                self.instrs.append(di)
-                return di
-
-        class Hooked(Rec):
-            def _start_execution(self, instr, cycle, from_iq):
-                return super()._start_execution(instr, cycle, from_iq)
-
+        comparison)."""
         tb = TraceBuilder()
         for i in range(8):
             tb.load(dest=1 + (i % 4), addr=0x200000 + i * 4096)
         for _ in range(10):
             tb.load(dest=5, addr=0x500)
-        trace = tb.build(warm_addrs=[0x500])
-        for cls in (Rec, Hooked):
-            core = cls(small_machine(), [trace])
-            s = core.run(10_000)
-            assert s.committed_total == 18
-            assert sum(i.long_miss for i in core.instrs) == 8
-            # The gauge balances: each of the 8 increments was paired
-            # with exactly one writeback decrement.
-            assert core.threads[0].pending_long_misses == 0
+        core = SMTProcessor(small_machine(), [tb.build(warm_addrs=[0x500])])
+        instrs = record_fetches(core)
+        s = core.run(10_000)
+        assert s.committed_total == 18
+        assert sum(i.long_miss for i in instrs) == 8
+        # The gauge balances: each of the 8 increments was paired
+        # with exactly one writeback decrement.
+        assert core.threads[0].pending_long_misses == 0
 
     def test_rotation_starts_at_the_current_cycle_thread(self):
         """Round-robin priority rotation: on cycle ``c`` the rotation
@@ -204,35 +177,51 @@ class TestStructureBoundaries:
         """Program order is *strict*: a repeated tseq is a violation,
         not a tie."""
         rob = ReorderBuffer(4)
-        rob.allocate(SimpleNamespace(tseq=1))
-        rob.allocate(SimpleNamespace(tseq=2))
+        rob._entries.extend((SimpleNamespace(tseq=1), SimpleNamespace(tseq=2)))
         assert rob.first_order_violation() is None
-        rob.allocate(SimpleNamespace(tseq=2))
+        rob._entries.append(SimpleNamespace(tseq=2))
         bad = rob.first_order_violation()
         assert bad is not None and bad.tseq == 2
 
     def test_fu_frees_exactly_at_the_boundary_cycle(self):
-        """A claimed unit is busy through ``free_at - 1`` and usable
-        again *at* ``free_at`` — both off-by-one directions checked."""
-        fu = FunctionalUnitPool(small_machine())
+        """A unit claimed at issue is busy through ``free_at - 1`` and
+        usable again *at* ``free_at`` — both off-by-one directions,
+        checked through the issue stage."""
+        core = SMTProcessor(small_machine(), [mixed_trace(8)])
         op = int(OpClass.IALU)
-        claimed = 0
-        while fu.try_claim(op, 0):
-            claimed += 1
-        assert claimed > 0
+        units = core.cfg.fu_int_alu
+        width = core.cfg.issue_width
+        for start in range(0, units, width):
+            for seq in range(start, min(start + width, units)):
+                core.iq.insert(hand_instr(seq), 0)
+            core._issue(0)
+        assert core.fu.issued_per_class[FUClass.INT_ALU] == units
         free_at = OP_INTERVAL[op]
         assert free_at > 0
-        assert not fu.available(op, free_at - 1)
-        assert fu.available(op, free_at)
-        assert fu.try_claim(op, free_at)
+        late = hand_instr(units)
+        core.iq.insert(late, 0)
+        core._issue(free_at - 1)
+        assert not late.issued
+        core._issue(free_at)
+        assert late.issue_cycle == free_at
 
     def test_lsq_forwards_only_strictly_older_stores(self):
-        lsq = LoadStoreQueue(8)
-        lsq.allocate(SimpleNamespace(tseq=5, is_store=True, addr=0x40))
-        newer = SimpleNamespace(tseq=6, is_store=False, addr=0x40)
-        same = SimpleNamespace(tseq=5, is_store=False, addr=0x40)
-        assert lsq.can_forward(newer) is True
-        assert lsq.can_forward(same) is False
+        """At issue a load forwards from an in-flight store of its
+        thread to the same address only when the store is older in
+        program order."""
+        core = SMTProcessor(small_machine(), [mixed_trace(8)])
+        core.threads[0].lsq._stores[0x40] = [5]
+        newer = hand_instr(0, op=OpClass.LOAD, tseq=6, addr=0x40)
+        same = hand_instr(1, op=OpClass.LOAD, tseq=5, addr=0x40)
+        older = hand_instr(2, op=OpClass.LOAD, tseq=4, addr=0x40)
+        for instr in (newer, same, older):
+            core.iq.insert(instr, 0)
+        core._issue(1)
+        assert [d.issued for d in (newer, same, older)] == [True] * 3
+        assert [d.forwarded for d in (newer, same, older)] == [
+            True, False, False
+        ]
+        assert core.threads[0].lsq.forwards == 1
 
     def test_flush_resumes_from_the_oldest_inflight_instruction(self):
         """With an empty ROB the front-end pipe holds the oldest

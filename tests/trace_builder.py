@@ -1,9 +1,13 @@
-"""Hand-built traces for precise pipeline behaviour tests."""
+"""Hand-built traces for precise pipeline behaviour tests, and an
+observer that records the dynamic instructions a core fetches."""
 
 from __future__ import annotations
 
 from repro.isa.opcodes import OpClass
 from repro.isa.registers import NO_REG
+from repro.pipeline.dynamic import DynInstr
+from repro.pipeline.smt_core import SMTProcessor
+from repro.rename.map_table import NO_PREG
 from repro.trace.generator import Trace
 
 
@@ -66,3 +70,78 @@ class TraceBuilder:
             warm_addrs=warm_addrs or [],
             warm_pcs=warm_pcs,
         )
+
+
+def hand_instr(seq: int, op: OpClass = OpClass.IALU, tid: int = 0,
+               tseq: int | None = None, addr: int = 0,
+               src1_p: int = NO_PREG, src2_p: int = NO_PREG,
+               dest_p: int = NO_PREG, dest_l: int = NO_REG,
+               src1_l: int = NO_REG, src2_l: int = NO_REG) -> DynInstr:
+    """An instruction for hand-built pipeline state: ``seq`` is its
+    global age, ``tseq`` (default ``seq``) its program position. The
+    ``*_p`` operands stand in for rename; the ``*_l`` ones feed it."""
+    instr = DynInstr(tid=tid, seq=seq, tseq=seq if tseq is None else tseq,
+                     op=int(op), pc=0, addr=addr, taken=False, target=0,
+                     dest_l=dest_l, src1_l=src1_l, src2_l=src2_l,
+                     fetch_cycle=0)
+    instr.src1_p = src1_p
+    instr.src2_p = src2_p
+    instr.dest_p = dest_p
+    return instr
+
+
+def idle_core(cfg, threads: int = 1) -> SMTProcessor:
+    """A core whose traces are already fully fetched, so its stages
+    only move the hand-built state a test puts in."""
+    core = SMTProcessor(cfg, [TraceBuilder().nops(1).build()
+                              for _ in range(threads)])
+    for ts in core.threads:
+        ts.fetch_idx = ts.trace_len
+    return core
+
+
+def rename_through(core, *instrs: DynInstr, cycle: int = 0) -> None:
+    """Queue ``instrs`` (in program order) at their threads' front-end
+    pipe exits and run the core's rename stage once."""
+    for instr in instrs:
+        core.threads[instr.tid].pipe.append((cycle, instr))
+    core._rename(cycle)
+
+
+def wake(core, *tags: int, cycle: int = 0) -> None:
+    """Broadcast physical registers ``tags`` through the core's
+    writeback stage at ``cycle``."""
+    core._wake_events[cycle] = list(tags)
+    core._apply_events(cycle)
+
+
+def record_fetches(core) -> list:
+    """Record every ``DynInstr`` the core's fetch stage creates.
+
+    Wraps the core's cached fetch-stage callable (``core._fetch_cycle``,
+    the seam the perf stage timers and the sanitizer's contract checks
+    wrap too) and collects the entries each fetch cycle appends to the
+    tail of a thread's front-end pipe. Returns the list, which fills as
+    the core steps, in creation (global ``seq``) order. What happened to
+    an instruction later (issue cycle, forwarding, long miss, ...) is
+    read from the recorded instruction's own fields.
+    """
+    instrs: list = []
+    fetch = core._fetch_cycle
+    threads = core.threads
+
+    def recording(c, cycle):
+        before = [len(ts.pipe) for ts in threads]
+        n = fetch(c, cycle)
+        if n:
+            new = [
+                ts.pipe[j][1]
+                for ts, k in zip(threads, before)
+                for j in range(k, len(ts.pipe))
+            ]
+            new.sort(key=lambda d: d.seq)
+            instrs.extend(new)
+        return n
+
+    core._fetch_cycle = recording
+    return instrs
