@@ -70,10 +70,14 @@ class RenameUnit:
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
-        """Reinitialise all state (used by the watchdog pipeline flush)."""
-        total = self.cfg.int_phys_regs + self.cfg.fp_phys_regs
+        """Reinitialise all state (used by the watchdog pipeline flush).
+
+        The ready scoreboard is cleared in place: the issue queue and
+        the 2OP dispatch policies hold the same bytearray.
+        """
         self.int_free = FreeList(0, self.cfg.int_phys_regs)
         self.fp_free = FreeList(self.cfg.int_phys_regs, self.cfg.fp_phys_regs)
-        self.ready = bytearray(total)
+        ready = self.ready
+        ready[:] = bytes(len(ready))
         self.maps = [RenameMapTable() for _ in range(self.num_threads)]
         self._install_initial_mappings()

@@ -194,3 +194,14 @@ class TestRenameUnit:
         u.reset()
         assert len(u.int_free) == free_after_rename + 1
         assert is_ready(core, u.maps[0]._map[3])
+
+    def test_reset_clears_the_shared_scoreboard_in_place(self):
+        core = self._core()
+        u = core.renamer
+        scoreboard = u.ready
+        rename(core, 3)
+        u.reset()
+        assert u.ready is scoreboard is core.iq._ready_bits
+        # Only the reinstalled architectural mappings are ready.
+        live = {p for table in u.maps for p in table._map if p >= 0}
+        assert {p for p, bit in enumerate(scoreboard) if bit} == live

@@ -306,6 +306,27 @@ class TestDeadlockMachinery:
         assert stats.watchdog_flushes >= 1
         assert stats.committed_total == 12
 
+    def test_watchdog_flush_keeps_one_ready_scoreboard(self):
+        """A flush resets the renamer's ready scoreboard in place: the
+        issue queue (and through it the 2OP dispatch policies) keeps
+        reading the live bits instead of the pre-flush array."""
+        tb = TraceBuilder()
+        tb.load(dest=1, addr=0x10000)
+        tb.load(dest=2, addr=0x20000)
+        for i in range(10):
+            tb.ialu(dest=3 + (i % 4), src1=1, src2=2)
+        cfg = small_machine(scheduler="2op_ooo", deadlock_mode="watchdog",
+                            watchdog_cycles=20)
+        core = SMTProcessor(cfg, [tb.build()])
+        scoreboard = core.renamer.ready
+        stats = core.run(10_000)
+        assert stats.watchdog_flushes >= 1
+        assert core.renamer.ready is scoreboard
+        assert core.iq._ready_bits is scoreboard
+        # Drained: every live mapping is ready again.
+        assert all(scoreboard[p] for p in core.renamer.maps[0]._map
+                   if p >= 0)
+
     def test_buffer_mode_runs_without_flushes(self):
         trace = TraceBuilder().nops(100).build()
         cfg = small_machine(scheduler="2op_ooo", deadlock_mode="buffer")
