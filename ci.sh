@@ -48,7 +48,7 @@ echo "== mutation smoke (pinned 25-mutant sample, 2 workers) =="
 python -m repro.analysis mutate src/repro/pipeline \
     --sample 25 --seed 2006 --jobs 2 --require-all-killed
 
-echo "== sanitized smoke simulation (2-thread mix, 5000 cycles) =="
+echo "== sanitized smoke simulation (2-thread mix, 5000 cycles; buffer + watchdog) =="
 python - <<'PY'
 from repro.config.presets import paper_machine
 from repro.experiments.runner import thread_traces
@@ -64,6 +64,19 @@ assert stats.sanitizer_checks > 0, "sanitizer never ran"
 assert stats.committed_total > 0, "nothing committed"
 print(
     f"ok: {stats.cycles} cycles, {stats.committed_total} committed, "
+    f"{stats.sanitizer_checks} sanitizer checks, no violations"
+)
+
+# Watchdog leg: a short watchdog forces recovery flushes, which rebuild
+# the rename state. The issue queue and the 2OP dispatch policies must
+# keep reading the renamer's live ready scoreboard afterwards.
+cfg = cfg.replace(deadlock_mode="watchdog", watchdog_cycles=16)
+core = SMTProcessor(cfg, traces, warmup=2000)
+stats = core.run(max_insns=6000, max_cycles=5000)
+assert stats.watchdog_flushes >= 1, "watchdog never fired"
+assert core.iq._ready_bits is core.renamer.ready, "stale IQ scoreboard"
+print(
+    f"ok: watchdog leg, {stats.watchdog_flushes} flushes, "
     f"{stats.sanitizer_checks} sanitizer checks, no violations"
 )
 PY

@@ -32,6 +32,7 @@ INVARIANTS = (
     "rename-program-order",
     "lsq-alloc-order",
     "iq-capacity",
+    "iq-scoreboard",
     "iq-one-comparator",
     "iq-dab-exclusion",
     "wakeup-consistency",
@@ -273,9 +274,18 @@ class PipelineSanitizer:
                 )
 
     def _check_iq(self, cycle: int) -> None:
-        """IQ occupancy, comparator budget, wakeup state and starvation."""
+        """IQ scoreboard, occupancy, comparator budget, wakeup state and
+        starvation."""
         core = self.core
         iq = core.iq
+        if iq._ready_bits is not core.renamer.ready:
+            # The IQ (and the 2OP dispatch policies reading it) must see
+            # the renamer's live scoreboard, e.g. after a watchdog flush.
+            raise SanitizerViolation(
+                "iq-scoreboard", cycle,
+                detail="issue queue reads a ready scoreboard that is not "
+                       "the renamer's",
+            )
         if not 0 <= iq.occupancy <= iq.capacity:
             raise SanitizerViolation(
                 "iq-capacity", cycle,

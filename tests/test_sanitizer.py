@@ -200,6 +200,32 @@ class TestFaultInjection:
         core.iq.occupancy -= 1
         expect_violation(core, "iq-capacity")
 
+    def test_iq_scoreboard_alias(self):
+        core = make_core()
+        core.step()
+        core.iq._ready_bits = bytearray(core.renamer.ready)
+        expect_violation(core, "iq-scoreboard")
+
+    def test_watchdog_flush_keeps_the_iq_scoreboard(self):
+        """Sanitized watchdog run with flushes: the reset scoreboard is
+        still the one the IQ reads."""
+        tb = TraceBuilder()
+        tb.load(dest=1, addr=0x10000)
+        tb.load(dest=2, addr=0x20000)
+        for i in range(10):
+            tb.ialu(dest=3 + (i % 4), src1=1, src2=2)  # all NDIs
+        core = SMTProcessor(
+            small_machine(scheduler="2op_ooo").replace(
+                sanitize=True, sanitize_interval=1,
+                deadlock_mode="watchdog", watchdog_cycles=20,
+            ),
+            [tb.build()],
+        )
+        stats = core.run(300)
+        assert stats.committed_total == 12
+        assert stats.watchdog_flushes >= 1
+        assert stats.sanitizer_checks > 0
+
     def test_iq_one_comparator(self):
         core = make_core(scheduler="2op_ooo")
         step_until(core, lambda c: bool(iq_resident(c)))
