@@ -116,6 +116,7 @@ PINNED_TESTS: tuple[str, ...] = (
     "tests/test_iq.py",
     "tests/test_dispatch_policies.py",
     "tests/test_smt_core.py",
+    "tests/test_issue_stage.py",
     "tests/test_fetch.py",
     "tests/test_rename.py",
     "tests/test_stats.py",

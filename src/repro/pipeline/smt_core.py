@@ -339,7 +339,8 @@ class SMTProcessor:
         Both sources share one FU-claim block and one start-execution
         block.
         """
-        heap = self.iq.ready_heap
+        iq = self.iq
+        heap = iq.ready_heap
         dab = self.dab
         dab_entries = dab.entries if dab is not None else None
         if dab_entries:
@@ -349,7 +350,6 @@ class SMTProcessor:
         else:
             return
         budget = self._issue_width
-        iq = self.iq
         fu = self.fu
         fu_units = fu._units
         issued_per_class = fu.issued_per_class
