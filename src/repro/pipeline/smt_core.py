@@ -405,7 +405,7 @@ class SMTProcessor:
                     else:
                         kept.append(instr)
                 elif deferred is None:
-                    deferred = [item]  # repro: noqa[RPR008] — lazy; only on FU conflicts
+                    deferred = [item]  # repro: noqa[RPR008] — lazy, FU conflicts only
                 else:
                     deferred.append(item)
                 continue

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from repro.config.presets import small_machine
 from repro.isa.opcodes import OP_INTERVAL, FUClass, OpClass
-from repro.pipeline.smt_core import _SELECT_SCAN_LIMIT, SMTProcessor
-from tests.trace_builder import TraceBuilder, hand_instr
+from repro.pipeline.smt_core import _SELECT_SCAN_LIMIT
+from tests.trace_builder import hand_instr, idle_core
 
 
 def make_core(**overrides):
-    cfg = small_machine(scheduler="2op_ooo").replace(**overrides)
-    return SMTProcessor(cfg, [TraceBuilder().nops(4).build()])
+    return idle_core(small_machine(scheduler="2op_ooo").replace(**overrides))
 
 
 def buffer_in_dab(core, instrs, cycle=0):

@@ -10,17 +10,10 @@ import pytest
 
 from repro.config.presets import small_machine
 from repro.isa.opcodes import FUClass, OpClass
-from repro.pipeline.dynamic import DynInstr
 from repro.pipeline.rob import ReorderBuffer
 from repro.pipeline.thread import ThreadState
 from repro.trace.generator import generate_trace
 from tests.trace_builder import hand_instr, idle_core, rename_through
-
-
-def instr(seq, op=OpClass.IALU, addr=0, tseq=None):
-    return DynInstr(tid=0, seq=seq, tseq=tseq if tseq is not None else seq,
-                    op=int(op), pc=0, addr=addr, taken=False, target=0,
-                    dest_l=-1, src1_l=-1, src2_l=-1, fetch_cycle=0)
 
 
 def commit_head(core, cycle=0):
@@ -40,7 +33,7 @@ def issue_load(core, seq, tseq, addr, cycle=1):
 class TestReorderBuffer:
     def test_fifo_order(self):
         core = idle_core(small_machine())
-        a, b = instr(0), instr(1)
+        a, b = hand_instr(0), hand_instr(1)
         rename_through(core, a, b)
         rob = core.threads[0].rob
         assert rob.head is a
@@ -50,9 +43,9 @@ class TestReorderBuffer:
     def test_capacity(self):
         core = idle_core(small_machine().replace(rob_size=2))
         rob = core.threads[0].rob
-        rename_through(core, instr(0))
+        rename_through(core, hand_instr(0))
         assert not rob.full
-        rename_through(core, instr(1), instr(2))
+        rename_through(core, hand_instr(1), hand_instr(2))
         assert rob.full
         # Rename stalls at a full ROB: the third stays in the pipe.
         assert [d.seq for d in rob] == [0, 1]
@@ -63,14 +56,14 @@ class TestReorderBuffer:
 
     def test_clear(self):
         core = idle_core(small_machine())
-        rename_through(core, instr(0))
+        rename_through(core, hand_instr(0))
         rob = core.threads[0].rob
         rob.clear()
         assert len(rob) == 0 and rob.head is None
 
     def test_iteration_in_order(self):
         core = idle_core(small_machine())
-        rename_through(core, *(instr(i) for i in range(3)))
+        rename_through(core, *(hand_instr(i) for i in range(3)))
         assert [x.seq for x in core.threads[0].rob] == [0, 1, 2]
 
     def test_invalid_capacity(self):
@@ -82,11 +75,11 @@ class TestLoadStoreQueue:
     def test_occupancy(self):
         core = idle_core(small_machine().replace(lsq_size=2))
         lsq = core.threads[0].lsq
-        a = instr(0, OpClass.LOAD, addr=64)
+        a = hand_instr(0, OpClass.LOAD, addr=64)
         rename_through(core, a)
         assert lsq.count == 1
-        rename_through(core, instr(1, OpClass.STORE, addr=128),
-                       instr(2, OpClass.LOAD, addr=0))
+        rename_through(core, hand_instr(1, OpClass.STORE, addr=128),
+                       hand_instr(2, OpClass.LOAD, addr=0))
         # Rename stalls the third memory op at a full LSQ.
         assert lsq.count == 2
         assert len(core.threads[0].pipe) == 1
@@ -95,7 +88,7 @@ class TestLoadStoreQueue:
 
     def test_store_forwarding_requires_older_store(self):
         core = idle_core(small_machine())
-        rename_through(core, instr(5, OpClass.STORE, addr=64, tseq=5))
+        rename_through(core, hand_instr(5, OpClass.STORE, addr=64, tseq=5))
         young_load = issue_load(core, seq=7, tseq=7, addr=64)
         old_load = issue_load(core, seq=3, tseq=3, addr=64, cycle=2)
         assert young_load.forwarded is True
@@ -103,24 +96,24 @@ class TestLoadStoreQueue:
 
     def test_no_forwarding_for_different_address(self):
         core = idle_core(small_machine())
-        rename_through(core, instr(0, OpClass.STORE, addr=64))
+        rename_through(core, hand_instr(0, OpClass.STORE, addr=64))
         assert not issue_load(core, seq=1, tseq=1, addr=128).forwarded
 
     def test_forwarding_stops_after_store_commits(self):
         core = idle_core(small_machine())
-        rename_through(core, instr(0, OpClass.STORE, addr=64, tseq=0))
+        rename_through(core, hand_instr(0, OpClass.STORE, addr=64, tseq=0))
         commit_head(core)
         assert not issue_load(core, seq=1, tseq=1, addr=64).forwarded
 
     def test_forward_counter(self):
         core = idle_core(small_machine())
-        rename_through(core, instr(0, OpClass.STORE, addr=64, tseq=0))
+        rename_through(core, hand_instr(0, OpClass.STORE, addr=64, tseq=0))
         issue_load(core, seq=1, tseq=1, addr=64)
         assert core.threads[0].lsq.forwards == 1
 
     def test_reset(self):
         core = idle_core(small_machine())
-        rename_through(core, instr(0, OpClass.STORE, addr=64))
+        rename_through(core, hand_instr(0, OpClass.STORE, addr=64))
         lsq = core.threads[0].lsq
         lsq.reset()
         assert lsq.count == 0
@@ -204,16 +197,16 @@ class TestThreadState:
         ts, _ = self._thread()
         ts.fetch_idx = ts.trace_len
         assert ts.exhausted and ts.drained
-        ts.rob._entries.append(instr(0))
+        ts.rob._entries.append(hand_instr(0))
         assert not ts.drained
 
     def test_flush_resumes_from_oldest_in_flight(self):
         ts, _ = self._thread()
         ts.fetch_idx = 100
-        oldest = instr(50, tseq=50)
+        oldest = hand_instr(50, tseq=50)
         ts.rob._entries.append(oldest)
-        ts.dispatch_buffer.append(instr(60, tseq=60))
-        ts.pipe.append((0, instr(70, tseq=70)))
+        ts.dispatch_buffer.append(hand_instr(60, tseq=60))
+        ts.pipe.append((0, hand_instr(70, tseq=70)))
         ts.icount = 3
         resume = ts.flush_inflight(resume_cycle=123)
         assert resume == 50
@@ -225,5 +218,5 @@ class TestThreadState:
     def test_flush_with_empty_rob_uses_pipe(self):
         ts, _ = self._thread()
         ts.fetch_idx = 80
-        ts.pipe.append((0, instr(75, tseq=75)))
+        ts.pipe.append((0, hand_instr(75, tseq=75)))
         assert ts.flush_inflight(1) == 75
