@@ -48,11 +48,16 @@ echo "== mutation smoke (pinned 25-mutant sample, 2 workers) =="
 python -m repro.analysis mutate src/repro/pipeline \
     --sample 25 --seed 2006 --jobs 2 --require-all-killed
 
-echo "== sanitized smoke simulation (2-thread mix, 5000 cycles; buffer + watchdog) =="
+echo "== sanitized smoke simulation (2-thread mix, 5000 cycles; buffer + watchdog + warm restore) =="
 python - <<'PY'
+from dataclasses import asdict
+
 from repro.config.presets import paper_machine
 from repro.experiments.runner import thread_traces
+from repro.pipeline import warm
 from repro.pipeline.smt_core import SMTProcessor
+from repro.trace.generator import clear_trace_cache
+from repro.util.encoding import stable_dumps
 
 cfg = paper_machine(scheduler="2op_ooo").replace(
     sanitize=True, sanitize_interval=16
@@ -79,6 +84,22 @@ print(
     f"ok: watchdog leg, {stats.watchdog_flushes} flushes, "
     f"{stats.sanitizer_checks} sanitizer checks, no violations"
 )
+
+# Warm-restore leg: the first core after clear_trace_cache() builds the
+# warm state; the second restores it from the store and must match the
+# first byte for byte.
+cfg = cfg.replace(deadlock_mode="buffer")
+clear_trace_cache()
+out = []
+for _ in range(2):
+    traces = thread_traces(["parser", "vortex"], 6000, seed=0, warmup=2000)
+    core = SMTProcessor(cfg, traces, warmup=2000)
+    stats = core.run(max_insns=6000, max_cycles=5000)
+    out.append(stable_dumps(asdict(stats)))
+assert warm.STORE.builds == 1, "warm state built more than once"
+assert warm.STORE.hits == 1, "second core was not a store hit"
+assert out[0] == out[1], "restored core differs from the freshly built one"
+print("ok: warm-restore leg, 1 build + 1 store hit, identical stats")
 PY
 
 echo "== parallel sweep smoke (2 workers, then warm cache) =="

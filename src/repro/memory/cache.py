@@ -68,7 +68,8 @@ class SetAssociativeCache:
         Bulk warm-up path: the tag store evolves exactly as under
         :meth:`access` (same LRU updates, same allocations) but the
         access/miss counters stay untouched. Used for residency
-        installation, where counters are reset afterwards anyway.
+        installation, which builds warm state whose counters are never
+        read.
         """
         block = addr >> self._line_bits
         ways = self._sets[block & self._set_mask]
@@ -94,12 +95,6 @@ class SetAssociativeCache:
         """Invalidate every line (statistics are preserved)."""
         for ways in self._sets:
             ways.clear()
-
-    def reset_stats(self) -> None:
-        """Zero the access/miss counters (content is preserved) — used
-        after a warmup phase so reported rates cover the measured region."""
-        self.accesses = 0
-        self.misses = 0
 
     # ------------------------------------------------------------------
     @property

@@ -118,9 +118,3 @@ class MemoryHierarchy:
         self.l1i.flush()
         self.l1d.flush()
         self.l2.flush()
-
-    def reset_stats(self) -> None:
-        """Zero all counters, keeping cache contents (post-warmup)."""
-        self.l1i.reset_stats()
-        self.l1d.reset_stats()
-        self.l2.reset_stats()

@@ -29,9 +29,10 @@ from repro.config.machine import MachineConfig
 from repro.core.deadlock import DeadlockAvoidanceBuffer, WatchdogTimer
 from repro.core.iq import IssueQueue
 from repro.core.scheduler import make_dispatch_policy
-from repro.isa.opcodes import OP_FU, OP_INTERVAL, OP_LATENCY, OpClass
+from repro.isa.opcodes import OP_FU, OP_INTERVAL, OP_LATENCY
 from repro.isa.registers import FP_BASE, REG_FP_ZERO, REG_INT_ZERO
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.pipeline import warm
 from repro.pipeline.dynamic import DynInstr
 from repro.pipeline.fastforward import FastForward
 from repro.pipeline.fu import FunctionalUnitPool
@@ -152,68 +153,10 @@ class SMTProcessor:
             # shadow checks (same mechanism as the perf stage timers;
             # must run after the caching loop above).
             self.sanitizer.install_contract_checks()
-        self._install_residency()
-        if warmup:
-            self._warm_up(warmup)
-        self.hierarchy.reset_stats()
-
-    # ------------------------------------------------------------------
-    # warmup
-    # ------------------------------------------------------------------
-    def _install_residency(self) -> None:
-        """Pre-touch each trace's steady-state resident lines (code and
-        data) so reduced-scale simulations do not start from pathological
-        all-cold caches; see ``Trace.warm_addrs``."""
-        hierarchy = self.hierarchy
-        for ts in self.threads:
-            hierarchy.warm_inst(ts.trace.warm_pcs)
-            hierarchy.warm_data(ts.trace.warm_addrs)
-
-    def _warm_up(self, warmup: int) -> None:
-        """Functionally replay the first ``warmup`` trace instructions of
-        each thread through the branch predictors and caches, then start
-        timing simulation after them.
-
-        The paper fast-forwards each benchmark to its SimPoint region
-        before measuring, so its tables/figures describe *warm*
-        microarchitectural state; at the reduced instruction budgets of a
-        pure-Python reproduction, cold predictors and caches would
-        otherwise dominate every number (see DESIGN.md §2).
-        """
-        branch_op = int(OpClass.BRANCH)
-        load_op = int(OpClass.LOAD)
-        store_op = int(OpClass.STORE)
-        line_shift = self.cfg.mem.l1i.line_bytes.bit_length() - 1
-        for ts in self.threads:
-            trace = ts.trace
-            predictor = ts.predictor
-            hierarchy = self.hierarchy
-            ops = trace.op
-            pcs = trace.pc
-            last_block = -1
-            for i in range(warmup):
-                pc = pcs[i]
-                block = pc >> line_shift
-                if block != last_block:
-                    hierarchy.access_inst(pc)
-                    last_block = block
-                op = ops[i]
-                if op == branch_op:
-                    pred = predictor.predict(
-                        pc, trace.taken[i], trace.target[i]
-                    )
-                    predictor.resolve(
-                        pc, trace.taken[i], trace.target[i], pred
-                    )
-                elif op == load_op or op == store_op:
-                    hierarchy.access_data(trace.addr[i])
-            ts.fetch_idx = warmup
-            predictor.branches = 0
-            predictor.mispredicts = 0
-            predictor.gshare.lookups = 0
-            predictor.gshare.hits = 0
-            predictor.btb.lookups = 0
-            predictor.btb.hits = 0
+        # Residency and functional warmup are built once per content key
+        # and copied in (repro.pipeline.warm); the core never warms
+        # itself in place.
+        warm.restore(self, warm.STORE.get(cfg, traces, warmup))
 
     def _rotation(self, cycle: int) -> tuple[ThreadState, ...]:  # repro: hot
         rotations = self._rotations

@@ -121,6 +121,11 @@ class Trace:
     #: instruction addresses to pre-touch (hot code is L1I/L2 resident in
     #: steady state).
     warm_pcs: list[int] = field(default_factory=list, repr=False)
+    #: content key ``(profile fingerprint, n, seed)`` stamped by
+    #: :func:`generate_trace`; ``None`` for traces built any other way.
+    #: Not an ``__init__`` argument, so ``dataclasses.replace`` drops it.
+    key: tuple | None = field(default=None, init=False, repr=False,
+                              compare=False)
 
     def __len__(self) -> int:
         return len(self.op)
@@ -168,8 +173,9 @@ def generate_trace(profile: BenchmarkProfile | str, n: int,
                    seed: int = 0) -> Trace:
     """Generate ``n`` instructions of the given benchmark.
 
-    Deterministic in ``(profile.name, n, seed)``. Results are memoised;
-    see :func:`clear_trace_cache`.
+    Deterministic in ``(profile.name, n, seed)``. Results are memoised
+    and carry their memo key as ``Trace.key``, which keys the warm-state
+    snapshots built from them; see :func:`clear_trace_cache`.
     """
     if isinstance(profile, str):
         profile = get_profile(profile)
@@ -178,6 +184,7 @@ def generate_trace(profile: BenchmarkProfile | str, n: int,
     if cached is not None:
         return cached
     trace = _generate(profile, n, seed)
+    trace.key = key
     if len(_TRACE_CACHE) >= _TRACE_CACHE_MAX:
         _TRACE_CACHE.pop(next(iter(_TRACE_CACHE)))
     _TRACE_CACHE[key] = trace
@@ -495,5 +502,10 @@ _TRACE_CACHE_MAX = 64
 
 
 def clear_trace_cache() -> None:
-    """Drop all memoised traces (tests and memory-pressure control)."""
+    """Drop all memoised traces and the warm-state snapshots built from
+    them (tests, cold benchmarks and memory-pressure control)."""
     _TRACE_CACHE.clear()
+    # Imported here: the pipeline layer sits above the trace layer.
+    from repro.pipeline.warm import STORE
+
+    STORE.clear()

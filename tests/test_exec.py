@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 
 import pytest
 
@@ -314,7 +315,10 @@ class TestExecuteJobs:
         assert "crashed" in str(err.value)
         assert err.value.report.retried >= 1
 
-    def test_per_job_timeout(self):
+    def test_per_job_timeout(self, monkeypatch):
+        # Slow by construction: fork inherits the patched method, so each
+        # child sleeps far past the timeout however fast a real job is.
+        monkeypatch.setattr(SimJob, "run", lambda self: time.sleep(30))
         with pytest.raises(ExecutionError) as err:
             execute_jobs(
                 [tiny_job(), tiny_job(seed=1)],

@@ -50,13 +50,6 @@ class TestSetAssociativeCache:
         assert c.access(0x100) is False
         assert c.accesses == 2 and c.misses == 2
 
-    def test_reset_stats_keeps_content(self):
-        c = small_cache()
-        c.access(0x100)
-        c.reset_stats()
-        assert c.accesses == 0 and c.misses == 0
-        assert c.access(0x100) is True
-
     def test_miss_and_hit_rate(self):
         c = small_cache()
         c.access(0)
@@ -116,15 +109,6 @@ class TestMemoryHierarchy:
         res = h.access_data(0x8000)
         assert res.l2_hit  # line brought in by the instruction fetch
         assert not res.l1_hit  # but not in the (separate) L1D
-
-    def test_reset_stats(self):
-        h = self._h()
-        h.access_data(0)
-        h.access_inst(0)
-        h.reset_stats()
-        assert h.l1d.accesses == 0
-        assert h.l1i.accesses == 0
-        assert h.l2.accesses == 0
 
     def test_flush(self):
         h = self._h()
